@@ -1,4 +1,4 @@
-//! Criterion: ablation benches for the design choices DESIGN.md calls out —
+//! Criterion: ablation benches for three design choices —
 //! encoder kind (argmin vs hash tree), attention activation (the Eq. 14
 //! sigmoid vs per-subspace softmax), and quantization granularity.
 

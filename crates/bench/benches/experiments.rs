@@ -39,9 +39,6 @@ fn main() {
         "exp_fig9",
         "exp_fig11",
         "exp_prefetching",
-        "exp_fig12",
-        "exp_fig13",
-        "exp_fig14",
         "exp_ablations",
         "exp_headline",
     ];
@@ -51,19 +48,12 @@ fn main() {
                 continue;
             }
         }
-        // The figure 12-14 binaries reuse the matrix exp_prefetching saved;
-        // training-heavy experiments run on a 2-workload subset so the whole
+        // Training-heavy experiments run on a 2-workload subset so the whole
         // regeneration stays within a coffee break (unset DART_WORKLOADS and
         // DART_SCALE=full for the paper-faithful runs).
         let heavy = ["exp_table6", "exp_table7", "exp_fig8", "exp_fig9", "exp_prefetching"];
         let envs: &[(&str, &str)] =
-            if bin.starts_with("exp_fig1") && bin != "exp_fig10" && bin != "exp_fig11" {
-                &[("DART_REUSE", "1"), ("DART_WORKLOADS", "2")]
-            } else if heavy.contains(&bin) {
-                &[("DART_WORKLOADS", "2")]
-            } else {
-                &[]
-            };
+            if heavy.contains(&bin) { &[("DART_WORKLOADS", "2")] } else { &[] };
         run(bin, envs);
     }
     println!("\nAll experiments done. JSON records: target/experiments/");

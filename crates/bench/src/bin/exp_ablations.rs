@@ -1,4 +1,4 @@
-//! Ablation experiments for the design choices DESIGN.md calls out:
+//! Ablation experiments for three design choices:
 //!
 //! 1. encoder kind (exact arg-min vs log-K hash tree),
 //! 2. attention activation (Eq. 14 sigmoid vs per-subspace softmax),

@@ -146,7 +146,8 @@ fn main() {
 
     print_table("Headline reproduction summary (quick scale)", &t);
     println!(
-        "\nMissing rows mean the corresponding experiment has not been run yet; \
-         see DESIGN.md §5 for the per-experiment index."
+        "\nMissing rows mean the experiment that records them has not been run yet: \
+         exp_table5 (latency, ops), exp_table6 + exp_table7 (F1), \
+         exp_prefetching (accuracy, IPC)."
     );
 }

@@ -24,7 +24,7 @@ fn main() {
         let ours = match spec.name.as_str() {
             "BO" => human_bytes(bo.storage_bytes()),
             "ISB" => human_bytes(isb.storage_bytes()),
-            "DART" => "measured per run (exp_fig12)".into(),
+            "DART" => "measured per run (exp_prefetching)".into(),
             name if name.ends_with("-I") => "-".into(),
             _ => "model params x 4B".into(),
         };

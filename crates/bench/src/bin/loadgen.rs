@@ -43,8 +43,10 @@
 //!   other knob here: a malformed value exits 2 before any socket opens).
 //!
 //! Either mode exits non-zero if any request is lost, failed, or
-//! unaccounted; TCP mode also cross-checks the scraped `/metrics`
-//! counters against the client-side report.
+//! unaccounted, or if every stream got at least the model's `seq_len`
+//! accesses (so each one warmed up) yet `dart_serve_predictions_total`
+//! is 0; TCP mode also cross-checks the scraped `/metrics` counters
+//! against the client-side report.
 //!
 //! ```sh
 //! cargo run --release -p dart-bench --bin loadgen
@@ -158,6 +160,20 @@ fn swap_verdict(drill: Option<SwapDrill>, swaps_counted: u64) -> bool {
     }
 }
 
+/// Fail the verdict when every stream was long enough to warm up
+/// (`accesses >= seq_len`) but the runtime made no prediction at all: a
+/// smoke that serves only cold streams says nothing about the model path.
+fn predictions_verdict(predictions: u64, accesses: usize, seq_len: usize) -> bool {
+    if accesses >= seq_len && predictions == 0 {
+        eprintln!(
+            "loadgen: every stream had {accesses} >= seq_len {seq_len} accesses \
+             but dart_serve_predictions_total is 0"
+        );
+        return false;
+    }
+    true
+}
+
 /// TCP mode: put the runtime behind the `dart-net` front-end and drive
 /// it over real sockets, then cross-check the server's own counters
 /// against the client-side accounting. Exits the process with a verdict.
@@ -167,6 +183,7 @@ fn run_tcp_mode(
     bind: &str,
     streams: usize,
     accesses: usize,
+    seq_len: usize,
 ) -> ! {
     let conns = env_usize_strict("DART_LOADGEN_CONNS", 8).max(1);
     let io_threads = env_usize_strict("DART_LOADGEN_IO_THREADS", 4);
@@ -229,6 +246,7 @@ fn run_tcp_mode(
     let idle_reaped =
         scraped_counter(&doc, "dart_net_disconnects_total{reason=\"idle\"}").unwrap_or(0);
     let model_swaps = scraped_counter(&doc, "dart_serve_model_swaps_total").unwrap_or(0);
+    let predictions = scraped_counter(&doc, "dart_serve_predictions_total").unwrap_or(0);
     println!("tcp: {batched} multi-frame outbox append(s), {idle_reaped} idle disconnect(s)");
     server.shutdown();
 
@@ -237,6 +255,9 @@ fn run_tcp_mode(
     // agree, and (via `report.is_ok()` above) not a single response may
     // have been lost or failed across the swap.
     if !swap_verdict(drill, model_swaps) {
+        verdict_ok = false;
+    }
+    if !predictions_verdict(predictions, accesses, seq_len) {
         verdict_ok = false;
     }
     if frames_in != report.submitted {
@@ -296,6 +317,7 @@ fn main() {
     );
 
     let (model, pre) = build_model();
+    let seq_len = pre.seq_len;
     let reqs =
         generate_requests(&LoadGenConfig { streams, accesses_per_stream: accesses, seed: 0xBEEF });
 
@@ -312,20 +334,23 @@ fn main() {
         SwapDrill::spawn(Arc::clone(&runtime), n)
     });
     if let Ok(bind) = std::env::var("DART_LOADGEN_ADDR") {
-        run_tcp_mode(runtime, drill, &bind, streams, accesses);
+        run_tcp_mode(runtime, drill, &bind, streams, accesses, seq_len);
     }
     let report = run_load(&runtime, &reqs, streams);
 
     println!("{}", report.summary());
     println!("\n--- metrics exposition ---");
-    print!("{}", runtime.render_metrics());
+    let doc = runtime.render_metrics();
+    print!("{doc}");
+    let predictions = scraped_counter(&doc, "dart_serve_predictions_total").unwrap_or(0);
     let swap_ok = swap_verdict(drill, runtime.stats_snapshot().model_swaps);
+    let predictions_ok = predictions_verdict(predictions, accesses, seq_len);
     // The drill thread has been joined above, so this Arc is unique again.
     if let Ok(runtime) = Arc::try_unwrap(runtime) {
         runtime.shutdown();
     }
 
-    if !report.is_ok() || !swap_ok {
+    if !report.is_ok() || !swap_ok || !predictions_ok {
         eprintln!(
             "loadgen: FAILED ({} failure(s), {}/{} responses)",
             report.failures, report.responses, report.submitted

@@ -303,10 +303,10 @@ fn main() {
         .collect();
     record_json("serve_bench", &serde_json::Value::Array(records));
 
-    // One short instrumented run whose metrics exposition is printed in
-    // full — CI archives this block, and it is the quickest way to see
-    // the live observability surface (stage histograms populate under
-    // `--features telemetry`; without it they read 0 by design).
+    // One short run whose metrics exposition is printed in full — CI
+    // archives this block, and it is the quickest way to see the live
+    // observability surface (stage histograms and per-kernel counters
+    // included).
     {
         let cfg = ServeConfig { shards: 2, max_batch, threshold: 0.5, ..ServeConfig::default() };
         let runtime = ServeRuntime::start(Arc::clone(&model), pre, cfg);

@@ -186,7 +186,7 @@ pub fn matrix_cache_path() -> std::path::PathBuf {
 }
 
 /// Run the matrix, or reuse a previously saved one when `DART_REUSE=1`
-/// (the Fig. 12/13/14 binaries share one expensive evaluation that way).
+/// (so `exp_prefetching` can reprint Fig. 12/13/14 without recomputing).
 pub fn load_or_run(ctx: &ExperimentContext) -> PrefetchMatrix {
     let path = matrix_cache_path();
     if std::env::var("DART_REUSE").as_deref() == Ok("1") {

@@ -11,7 +11,8 @@ use serde::{Deserialize, Serialize};
 use crate::config::{DesignConstraints, PredictorConfig};
 
 /// LayerNorm latency constant `L_ln` (cycles). The paper never states it;
-/// 5 cycles keeps Eq. 22 within ~10% of Table V/VIII (see DESIGN.md §4).
+/// 5 cycles keeps Eq. 22 within ~10% of Table V/VIII (pinned by the
+/// `*_latency_matches_paper_band` tests below).
 pub const LN_LATENCY: u64 = 5;
 
 /// Output-sigmoid latency constant `L_σ` (cycles).

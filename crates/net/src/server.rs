@@ -83,12 +83,6 @@ pub struct NetConfig {
     /// Poll/dispatch tick in milliseconds (clamped ≥ 1). Bounds how long
     /// a pending flush or a shutdown request waits for a quiet loop.
     pub poll_timeout_ms: u64,
-    /// Group each dispatcher pump's responses by connection and encode
-    /// them into **one** buffer per conn (one outbox lock + one flush
-    /// per conn per pump instead of one per response). On by default;
-    /// the off position exists so tests can pin response-equivalence
-    /// between the batched and unbatched paths.
-    pub batch_responses: bool,
     /// Reap connections with no traffic, nothing in flight, and an empty
     /// outbox after this many milliseconds (disconnect reason `idle`).
     /// `0` disables idle reaping.
@@ -112,7 +106,6 @@ impl Default for NetConfig {
             max_inflight_per_conn: 1024,
             write_buf_cap: 1 << 20,
             poll_timeout_ms: 2,
-            batch_responses: true,
             idle_timeout_ms: 0,
             fallback_poller_sleep_ms: 5,
         }
@@ -1055,7 +1048,6 @@ fn dispatch_loop(shared: &Shared) {
     // Per-conn coalescing buffers, recycled across pumps.
     let mut groups: HashMap<u32, (Vec<u8>, u64)> = HashMap::new();
     let mut spare: Vec<Vec<u8>> = Vec::new();
-    let mut single: Vec<u8> = Vec::new();
     loop {
         let stopping = shared.shutdown.load(Ordering::SeqCst);
         shared.runtime.take_completed_timeout_into(tick, &mut responses);
@@ -1065,29 +1057,20 @@ fn dispatch_loop(shared: &Shared) {
             }
             continue;
         }
-        if shared.cfg.batch_responses {
-            for resp in responses.drain(..) {
-                let conn_id = (resp.stream_id >> 32) as u32;
-                let (buf, count) =
-                    groups.entry(conn_id).or_insert_with(|| (spare.pop().unwrap_or_default(), 0));
-                encode_response(&response_frame(&resp), buf);
-                *count += 1;
-            }
-            // Relative order within a conn is preserved (grouping is a
-            // stable partition of the pump), so per-stream seq order on
-            // the wire is identical to the unbatched path.
-            for (conn_id, (mut buf, count)) in groups.drain() {
-                route_buffer(shared, conn_id, &buf, count);
-                buf.clear();
-                spare.push(buf);
-            }
-        } else {
-            for resp in responses.drain(..) {
-                let conn_id = (resp.stream_id >> 32) as u32;
-                single.clear();
-                encode_response(&response_frame(&resp), &mut single);
-                route_buffer(shared, conn_id, &single, 1);
-            }
+        for resp in responses.drain(..) {
+            let conn_id = (resp.stream_id >> 32) as u32;
+            let (buf, count) =
+                groups.entry(conn_id).or_insert_with(|| (spare.pop().unwrap_or_default(), 0));
+            encode_response(&response_frame(&resp), buf);
+            *count += 1;
+        }
+        // Relative order within a conn is preserved (grouping is a stable
+        // partition of the pump), so per-stream seq order on the wire is
+        // the runtime's completion order.
+        for (conn_id, (mut buf, count)) in groups.drain() {
+            route_buffer(shared, conn_id, &buf, count);
+            buf.clear();
+            spare.push(buf);
         }
     }
 }

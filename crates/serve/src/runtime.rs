@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use dart_core::TabularModel;
 use dart_numa::NumaTopology;
-use dart_telemetry::{Histogram, SpanRecord, SpanRing};
+use dart_telemetry::Histogram;
 use dart_trace::PreprocessConfig;
 
 use crate::placement::{plan_placement, ShardPlacement};
@@ -102,13 +102,6 @@ pub struct ServeConfig {
     /// second panic must both survive. `false` (the default) in
     /// production.
     pub panic_in_recovery: bool,
-    /// Capacity of the recent-request span ring
-    /// ([`ServeRuntime::recent_spans`]): the last N served requests keep
-    /// their per-stage lifecycle breakdown for debugging. `0` disables
-    /// the ring entirely; spans are only recorded when the crate is built
-    /// with the `telemetry` feature (the stage timestamps otherwise
-    /// compile to no-ops).
-    pub span_capacity: usize,
     /// Capacity of the live-traffic replay buffer feeding the shadow
     /// retrainer ([`ServeRuntime::replay`]): shard workers append each
     /// served batch's accesses (one bulk push per batch, after responses
@@ -134,7 +127,6 @@ impl Default for ServeConfig {
             stall_on_stream: None,
             stall_ms: 0,
             panic_in_recovery: false,
-            span_capacity: 256,
             replay_capacity: 0,
         }
     }
@@ -222,17 +214,15 @@ pub struct ServeStats {
     pub latency: Histogram,
     /// Coalesced batch-size distribution (one sample per served batch).
     pub batch_sizes: Histogram,
-    /// Lifecycle stage: enqueue → drained by the worker, per request.
-    /// Populated only in `telemetry` builds (otherwise empty).
+    /// Lifecycle stage: enqueue → drained by the worker, per request
+    /// (count equals `requests` once quiescent).
     pub stage_queue_wait: Histogram,
-    /// Lifecycle stage: drain → feature matrix formed, per batch.
-    /// Populated only in `telemetry` builds.
+    /// Lifecycle stage: drain → feature matrix formed, per batch (count
+    /// equals `batches` once quiescent).
     pub stage_coalesce: Histogram,
     /// Lifecycle stage: features → predictions decoded, per batch.
-    /// Populated only in `telemetry` builds.
     pub stage_kernel: Histogram,
     /// Lifecycle stage: predictions → responses in the sink, per batch.
-    /// Populated only in `telemetry` builds.
     pub stage_sink: Histogram,
 }
 
@@ -276,8 +266,6 @@ pub struct ServeRuntime {
     /// Per-shard dead-stream retirement cells
     /// (see [`ServeRuntime::retire_streams_with_prefix`]).
     retire: Vec<Arc<RetireCell>>,
-    /// Bounded ring of the most recently served requests' lifecycle spans.
-    spans: Arc<SpanRing>,
     /// Dedicated kernel pool when `cfg.pool_threads` was set; `None` means
     /// the shard workers use the process-global pool. Kept here so the pool
     /// outlives every worker thread that installed it.
@@ -348,7 +336,6 @@ impl ServeRuntime {
             // `wait_idle` callers hung).
             let _ = rayon::global_pool();
         }
-        let spans = Arc::new(SpanRing::new(cfg.span_capacity));
         let mut queues = Vec::with_capacity(cfg.shards);
         let mut workers = Vec::with_capacity(cfg.shards);
         let mut reports = Vec::with_capacity(cfg.shards);
@@ -377,7 +364,6 @@ impl ServeRuntime {
             let q = Arc::clone(&queue);
             let s = Arc::clone(&sink);
             let p = pool.clone();
-            let span_ring = Arc::clone(&spans);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("dart-serve-shard-{shard_id}"))
@@ -443,7 +429,6 @@ impl ServeRuntime {
                             stall_ms,
                             retire: retire_cell,
                             telemetry: shard_telemetry,
-                            spans: span_ring,
                             replay: worker_replay,
                         };
                         let run_cell = Arc::clone(&report_cell);
@@ -505,7 +490,6 @@ impl ServeRuntime {
             reports,
             telemetry,
             retire,
-            spans,
             pool,
             topology,
             plan,
@@ -813,17 +797,10 @@ impl ServeRuntime {
         self.collect_stats()
     }
 
-    /// The most recently served requests' per-stage lifecycle spans,
-    /// oldest first (bounded by [`ServeConfig::span_capacity`]). Empty
-    /// unless the crate is built with the `telemetry` feature.
-    pub fn recent_spans(&self) -> Vec<SpanRecord> {
-        self.spans.recent()
-    }
-
     /// Render the live Prometheus-style plaintext exposition: the
     /// runtime's own metrics ([`crate::metrics::render_exposition`] over
     /// [`Self::stats_snapshot`]) followed by the process-global registry
-    /// (e.g. `dart-pq` kernel profiling counters in `telemetry` builds).
+    /// (e.g. the `dart-pq` per-kernel invocation and row counters).
     pub fn render_metrics(&self) -> String {
         let mut out = crate::metrics::render_exposition(&self.stats_snapshot());
         out.push_str(&dart_telemetry::global().render());
@@ -934,7 +911,6 @@ mod tests {
         assert!(cfg.shards >= 1);
         assert!(cfg.max_batch >= 1);
         assert!((0.0..=1.0).contains(&cfg.threshold));
-        assert!(cfg.span_capacity > 0, "span ring should be on by default (cheap, bounded)");
     }
 
     #[test]

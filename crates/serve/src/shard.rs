@@ -6,16 +6,13 @@ use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
 use dart_nn::matrix::Matrix;
-use dart_telemetry::{AtomicHistogram, Gauge, Histogram, SpanRing};
+use dart_telemetry::{AtomicHistogram, Gauge, Histogram};
 use dart_trace::PreprocessConfig;
 
 use crate::lru::StreamLru;
 use crate::request::PrefetchResponse;
 use crate::shadow::{ReplaySample, ReplaySampler};
 use crate::slot::ModelHandle;
-
-#[cfg(feature = "telemetry")]
-use dart_telemetry::SpanRecord;
 
 /// A request plus its enqueue timestamp (for latency accounting).
 pub(crate) struct Envelope {
@@ -430,10 +427,8 @@ pub(crate) struct ShardReport {
 /// Lock-free per-shard lifecycle metric cells, recorded by the worker
 /// without taking any lock and snapshot by `stats_snapshot` at any time.
 ///
-/// The four stage histograms are only *recorded* under the `telemetry`
-/// feature (the timestamps they need compile to no-ops otherwise); the
-/// batch-size distribution is always on — one relaxed atomic add per
-/// coalesced batch.
+/// Every served batch records its size and the coalesce / kernel / sink
+/// stages once, and one queue-wait sample per request.
 #[derive(Debug, Default)]
 pub(crate) struct ShardTelemetry {
     /// Enqueue → drained by the worker, per request, nanoseconds.
@@ -487,10 +482,6 @@ pub(crate) struct ShardWorker {
     /// This shard's lock-free lifecycle metric cells (the runtime holds
     /// the other reference and snapshots them live).
     pub telemetry: Arc<ShardTelemetry>,
-    /// Shared ring of recent request spans (capacity 0 = disabled; only
-    /// written under the `telemetry` feature).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-    pub spans: Arc<SpanRing>,
     /// Live-traffic replay sampler feeding the shadow retrainer
     /// (`ServeConfig::replay_capacity > 0`); one bulk push per served
     /// batch. `None` disables sampling entirely.
@@ -539,9 +530,8 @@ impl ShardWorker {
             // Dead-connection cleanup first, so this batch's new streams
             // see the freed residency instead of evicting live ones.
             self.retire.drain_into(&mut streams);
-            // Lifecycle tracing stamps (telemetry feature only — without
-            // it no clock is read beyond the existing latency stamp).
-            #[cfg(feature = "telemetry")]
+            // Lifecycle stage stamps: drained → formed → predicted →
+            // delivered, one clock read per stage boundary per batch.
             let t_drained = Instant::now();
             // Fault injection: stall before touching the batch, so the
             // queue can fill (and NACK) behind a deterministically slow
@@ -600,7 +590,6 @@ impl ShardWorker {
                 }
             }
 
-            #[cfg(feature = "telemetry")]
             let t_formed = Instant::now();
 
             // Phase 2: one batched prediction for every warm request.
@@ -616,7 +605,6 @@ impl ShardWorker {
                 }
             }
             feat_buf = feats.into_vec();
-            #[cfg(feature = "telemetry")]
             let t_predicted = Instant::now();
 
             // Phase 3: stamp latencies, then deliver. All fallible work is
@@ -624,9 +612,8 @@ impl ShardWorker {
             // never re-lock the sink from this thread. Commit this batch's
             // statistics only now that its responses are final: a panic
             // earlier in the batch loses at most the dying batch's numbers.
-            let now = Instant::now();
             for (env, resp) in batch.iter().zip(&mut responses) {
-                resp.latency_ns = now.duration_since(env.enqueued).as_nanos() as u64;
+                resp.latency_ns = t_predicted.duration_since(env.enqueued).as_nanos() as u64;
             }
             batch_guard.armed = false;
             {
@@ -642,11 +629,6 @@ impl ShardWorker {
                     r.latency.record(resp.latency_ns);
                 }
             }
-            // Span identities must be captured before the responses move
-            // into the sink (only needed when the ring records anything).
-            #[cfg(feature = "telemetry")]
-            let span_ids: Option<Vec<(u64, u64)>> = (self.spans.capacity() > 0)
-                .then(|| responses.iter().map(|r| (r.stream_id, r.seq)).collect());
             let mut sink_state = sink.lock();
             sink_state.completed.append(&mut responses);
             sink_state.in_flight -= batch.len() as u64;
@@ -666,39 +648,17 @@ impl ShardWorker {
                 }));
             }
 
-            // Lifecycle telemetry, all lock-free cells: batch-size always
-            // (one relaxed add per batch), stage durations and span
-            // records only when the tracing timestamps exist.
-            self.telemetry.batch_size.record(batch.len() as u64);
-            #[cfg(feature = "telemetry")]
-            {
-                let t_delivered = Instant::now();
-                let coalesce_ns = t_formed.duration_since(t_drained).as_nanos() as u64;
-                let kernel_ns = t_predicted.duration_since(t_formed).as_nanos() as u64;
-                let sink_ns = t_delivered.duration_since(t_predicted).as_nanos() as u64;
-                self.telemetry.coalesce.record(coalesce_ns);
-                self.telemetry.kernel.record(kernel_ns);
-                self.telemetry.sink.record(sink_ns);
-                for env in &batch {
-                    self.telemetry
-                        .queue_wait
-                        .record(t_drained.duration_since(env.enqueued).as_nanos() as u64);
-                }
-                if let Some(ids) = span_ids {
-                    for (env, (stream_id, seq)) in batch.iter().zip(ids) {
-                        self.spans.push(SpanRecord {
-                            stream_id,
-                            seq,
-                            shard: self.shard_id,
-                            batch_size: batch.len(),
-                            queue_wait_ns: t_drained.duration_since(env.enqueued).as_nanos() as u64,
-                            coalesce_ns,
-                            kernel_ns,
-                            sink_ns,
-                        });
-                    }
-                }
-            }
+            // Lifecycle telemetry, all lock-free cells: batch size and the
+            // three per-batch stages once each, queue wait per request.
+            let t_delivered = Instant::now();
+            let tel = &self.telemetry;
+            tel.batch_size.record(batch.len() as u64);
+            tel.coalesce.record(t_formed.duration_since(t_drained).as_nanos() as u64);
+            tel.kernel.record(t_predicted.duration_since(t_formed).as_nanos() as u64);
+            tel.sink.record(t_delivered.duration_since(t_predicted).as_nanos() as u64);
+            tel.queue_wait.record_many(
+                batch.iter().map(|env| t_drained.duration_since(env.enqueued).as_nanos() as u64),
+            );
         }
     }
 }

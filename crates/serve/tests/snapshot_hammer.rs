@@ -73,9 +73,10 @@ fn assert_consistent(s: &ServeStats, ctx: &str) {
 }
 
 /// Extra invariants that only hold at quiescence (workers joined): the
-/// lock-free batch-size cell is recorded *after* the report commit, so
-/// mid-flight snapshots may see it lag or lead by one batch — but once
-/// the workers are gone the two views must agree exactly.
+/// lock-free batch-size and lifecycle-stage cells are recorded *after*
+/// the report commit, so mid-flight snapshots may see them lag or lead by
+/// one batch — but once the workers are gone the views must agree
+/// exactly. Every batch is stamped with all four stages.
 fn assert_quiescent(s: &ServeStats, ctx: &str) {
     assert_consistent(s, ctx);
     assert_eq!(
@@ -92,6 +93,24 @@ fn assert_quiescent(s: &ServeStats, ctx: &str) {
         s.batch_sizes.count(),
         s.batches
     );
+    assert_eq!(
+        s.stage_queue_wait.count(),
+        s.requests,
+        "{ctx}: queue-wait stage count {} != requests {}",
+        s.stage_queue_wait.count(),
+        s.requests
+    );
+    for (stage, h) in
+        [("coalesce", &s.stage_coalesce), ("kernel", &s.stage_kernel), ("sink", &s.stage_sink)]
+    {
+        assert_eq!(
+            h.count(),
+            s.batches,
+            "{ctx}: {stage} stage count {} != batches {}",
+            h.count(),
+            s.batches
+        );
+    }
 }
 
 /// Counters are monotone across successive snapshots.

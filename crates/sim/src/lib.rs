@@ -5,7 +5,9 @@
 //! instruction, with instruction-id gaps modeling non-memory work) and
 //! produces cycles/IPC plus prefetch accuracy and coverage.
 //!
-//! Model summary (simplifications documented in DESIGN.md §3):
+//! Model summary (each point simplifies ChampSim, keeping only what
+//! separates prefetchers: memory-level parallelism, DRAM contention and
+//! prefetch timeliness):
 //!
 //! * three-level hierarchy (L1D → L2 → LLC) of set-associative LRU caches,
 //! * DRAM with fixed access latency, limited in-flight requests (the LLC

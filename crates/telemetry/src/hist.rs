@@ -145,6 +145,24 @@ impl AtomicHistogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
+    /// Record a batch of samples with one atomic add per touched bucket
+    /// plus one for the sum, instead of two per sample: the form for
+    /// per-request samples on a path that serves millions a second.
+    pub fn record_many(&self, values: impl IntoIterator<Item = u64>) {
+        let mut counts = [0u64; BUCKETS];
+        let mut sum = 0u64;
+        for value in values {
+            counts[bucket_of(value)] += 1;
+            sum = sum.wrapping_add(value);
+        }
+        for (cell, n) in self.buckets.iter().zip(counts) {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+    }
+
     /// Materialize a plain [`Histogram`] view of the current state.
     pub fn snapshot(&self) -> Histogram {
         let mut out = Histogram::new();
@@ -271,17 +289,21 @@ mod tests {
 
     #[test]
     fn atomic_histogram_matches_plain_recording() {
+        let values = [0u64, 1, 7, 1024, 1025, 1 << 40];
         let a = AtomicHistogram::new();
+        let many = AtomicHistogram::new();
         let mut p = Histogram::new();
-        for v in [0u64, 1, 7, 1024, 1025, 1 << 40] {
+        for v in values {
             a.record(v);
             p.record(v);
         }
-        let snap = a.snapshot();
-        assert_eq!(snap.buckets(), p.buckets());
-        assert_eq!(snap.count(), p.count());
-        assert_eq!(snap.sum(), p.sum());
-        assert_eq!(snap.percentile(0.5), p.percentile(0.5));
+        many.record_many(values);
+        for snap in [a.snapshot(), many.snapshot()] {
+            assert_eq!(snap.buckets(), p.buckets());
+            assert_eq!(snap.count(), p.count());
+            assert_eq!(snap.sum(), p.sum());
+            assert_eq!(snap.percentile(0.5), p.percentile(0.5));
+        }
     }
 
     #[test]

@@ -15,26 +15,21 @@
 //! * [`Exposition`] — the shared plaintext formatter (`# HELP`/`# TYPE`
 //!   lines, label escaping, cumulative histogram buckets) used by the
 //!   registry and by `dart-serve`'s `ServeStats` exposition.
-//! * [`SpanRing`] / [`SpanRecord`] — a bounded ring buffer of recent
-//!   request-lifecycle spans (queue-wait → coalesce → kernel → sink) for
-//!   debugging latency outliers without unbounded memory.
 //! * [`lockcheck`] — the serving stack's mutex facade: `std::sync`
 //!   re-exports by default, order-tracked mutexes that panic on
 //!   lock-order cycles under the `lockcheck` cargo feature.
 //!
 //! Everything here is std-only and allocation-free on the record paths;
-//! the only locks are in the registry's *registration* path and the span
-//! ring (both off the per-request hot path).
+//! the only lock is in the registry's *registration* path (off the
+//! per-request hot path).
 
 pub mod cell;
 pub mod expo;
 pub mod hist;
 pub mod lockcheck;
 pub mod registry;
-pub mod span;
 
 pub use cell::{Counter, Gauge};
 pub use expo::{Exposition, MetricKind};
 pub use hist::{AtomicHistogram, Histogram, BUCKETS};
 pub use registry::{global, MetricsRegistry};
-pub use span::{SpanRecord, SpanRing};

@@ -6,9 +6,9 @@
 //!   pages, deltas),
 //! * [`io`] — compact binary and human-readable text serialization,
 //! * [`synth`] — synthetic workload generators standing in for the paper's
-//!   SPEC CPU 2006/2017 LLC traces (see DESIGN.md §3 for the substitution
-//!   argument); eight named workloads match the qualitative pattern classes
-//!   and trace statistics of the paper's Table IV,
+//!   SPEC CPU 2006/2017 LLC traces, which are licensed and cannot ship with
+//!   the repository; eight named workloads match the qualitative pattern
+//!   classes and trace statistics of the paper's Table IV,
 //! * [`preprocess`] — TransFetch-style input preparation (paper §VI-A):
 //!   segmented block-address inputs and delta-bitmap labels over a
 //!   look-forward window, producing `dart-nn` datasets,
